@@ -16,7 +16,9 @@ lock held in ``_handle_rmdir`` while ``yield from``-delegating into
   *class* (the label prefix before the first ``:``), the same classes
   the dynamic :class:`~repro.analysis.trace.SimTracer` labels carry —
   that shared naming is what makes the static/dynamic lock-order
-  cross-check possible,
+  cross-check possible.  A project subclass of ``Lock``/``RWLock``
+  whose ``name`` property returns such an f-string (a label built on
+  read) counts as a constructor of that class,
 * **acquire wrappers**: generator helpers whose every yield waits on an
   ``acquire``-family call on one of their own parameters (the runtime's
   ``_acquire(lock, mode)``); call sites map their argument expression to
@@ -93,28 +95,46 @@ _TRY_ACQUIRE_METHODS = {"try_acquire", "try_acquire_read", "try_acquire_write"}
 _POOL_RECEIVERS = {"cores"}
 
 
-def _lock_class_of_ctor(call: ast.Call) -> Optional[str]:
+def _label_class(value: ast.expr) -> Optional[str]:
+    """``"inode:..."`` / ``f"inode:{...}"`` -> ``"inode"`` (None when the
+    expression is not a string literal with a leading constant part)."""
+    text = None
+    if isinstance(value, ast.Constant) and isinstance(value.value, str):
+        text = value.value
+    elif isinstance(value, ast.JoinedStr) and value.values:
+        first = value.values[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            text = first.value
+    return text.split(":", 1)[0] if text else None
+
+
+def _lazy_label_class(cls: ast.ClassDef) -> Optional[str]:
+    """Lock class of a ``Lock``/``RWLock`` subclass whose ``name``
+    property returns a class-prefixed label (None for anything else)."""
+    if not any(receiver_name(base) in _LOCK_CTORS for base in cls.bases):
+        return None
+    for stmt in cls.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "name":
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Return) and node.value is not None:
+                    return _label_class(node.value)
+    return None
+
+
+def _lock_class_of_ctor(call: ast.Call, lazy_ctors: Dict[str, str]) -> Optional[str]:
     """``RWLock(sim, name=f"inode:{...}")`` -> ``"inode"`` (None when the
-    constructor is unnamed or the name carries no class prefix)."""
-    fn = call.func
-    ctor = fn.id if isinstance(fn, ast.Name) else (
-        fn.attr if isinstance(fn, ast.Attribute) else None
-    )
+    constructor is unnamed or the name carries no class prefix).  Calls
+    to a lazily labelled subclass in *lazy_ctors* map to its class."""
+    ctor = receiver_name(call.func)
+    if ctor in lazy_ctors:
+        return lazy_ctors[ctor]
     if ctor not in _LOCK_CTORS:
         return None
     for kw in call.keywords:
-        if kw.arg != "name":
-            continue
-        value = kw.value
-        text = None
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            text = value.value
-        elif isinstance(value, ast.JoinedStr) and value.values:
-            first = value.values[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                text = first.value
-        if text:
-            return text.split(":", 1)[0]
+        if kw.arg == "name":
+            cls = _label_class(kw.value)
+            if cls:
+                return cls
     return None
 
 
@@ -159,6 +179,8 @@ class Project:
         self.by_name: Dict[str, List[FuncInfo]] = {}
         #: function name -> lock class it produces
         self.lock_producers: Dict[str, str] = {}
+        #: lazily labelled lock subclass name -> lock class
+        self.lazy_lock_ctors: Dict[str, str] = {}
         self.parse_errors: List[Tuple[str, str]] = []
 
     # -- scanning --------------------------------------------------------
@@ -184,6 +206,9 @@ class Project:
                 # Nested defs are indexed too (closures get their own CFG).
                 self._scan_body(stmt.body, qualname, path, class_name)
             elif isinstance(stmt, ast.ClassDef):
+                lock_class = _lazy_label_class(stmt)
+                if lock_class is not None:
+                    self.lazy_lock_ctors[stmt.name] = lock_class
                 self._scan_body(stmt.body, f"{prefix}.{stmt.name}", path, stmt.name)
 
     def finalize(self) -> None:
@@ -202,7 +227,7 @@ class Project:
     def _producer_class(self, info: FuncInfo) -> Optional[str]:
         for node in ast.walk(info.node):
             if isinstance(node, ast.Call):
-                cls = _lock_class_of_ctor(node)
+                cls = _lock_class_of_ctor(node, self.lazy_lock_ctors)
                 if cls is not None:
                     return cls
         return None

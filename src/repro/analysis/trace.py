@@ -31,6 +31,7 @@ CPU charge (a timeout yield), so in practice attribution is per-handler.
 
 from __future__ import annotations
 
+import itertools
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -107,15 +108,28 @@ class _Hold:
         self.stack = stack
 
 
+#: Process serials for hold/state attribution (0 is the kernel itself).
+_serials = itertools.count(1)
+
+
 class _TracedProcess(Process):
     """Process subclass installed while a tracer is attached.
 
     Brackets every generator advance so lock/state hooks can attribute
     activity to the running process.  Never constructed when tracing is
     off, so the stock :class:`Process` trampoline stays untouched.
+
+    Each traced process carries a unique ``serial``.  The tracer keys
+    holds by it rather than by ``id()``: a finished process is freed
+    promptly, so a later process can reuse the address of one whose
+    holds (deferred-unlock tokens) are still live.
     """
 
-    __slots__ = ()
+    __slots__ = ("serial",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.serial = next(_serials)
 
     def _resume(self, event) -> None:
         tracer = self.sim.tracer
@@ -156,7 +170,7 @@ class SimTracer:
         self.state_records: Dict[Any, Dict[str, Any]] = {}
         #: Race findings: dicts with the two conflicting accesses.
         self.races: List[Dict[str, Any]] = []
-        self._holds: Dict[int, List[_Hold]] = {}  # id(proc) -> active holds
+        self._holds: Dict[int, List[_Hold]] = {}  # proc serial -> active holds
         self._labels: Dict[int, str] = {}
 
     # -- lifecycle -------------------------------------------------------
@@ -180,7 +194,7 @@ class SimTracer:
 
     def _proc_key(self) -> int:
         proc = self.current
-        return id(proc) if proc is not None else 0
+        return proc.serial if proc is not None else 0
 
     def _stack(self) -> Optional[List[str]]:
         if not self.capture_stacks:

@@ -182,9 +182,12 @@ def run_stream(
         for w in range(inflight)
     ]
     # Collection pauses inside the measurement window would be charged to
-    # the workload; the sim's object graph is refcount-clean (pooled
-    # packets/timeouts, no cycles on the op path), so pay one collection
-    # up front and re-enable after the window closes (EXPERIMENTS.md).
+    # the workload.  The op path is refcount-clean (pooled packets and
+    # timeouts; a finished process drops its self-referencing resume
+    # callback), so refcounting frees each op's objects as it completes
+    # and memory stays bounded with the collector off (pinned by
+    # tests/bench/test_refcount_clean.py).  Pay one collection up front
+    # and re-enable after the window closes (EXPERIMENTS.md).
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.collect()

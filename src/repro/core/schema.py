@@ -101,14 +101,13 @@ def file_cache_fingerprint(pid: int, name: str) -> int:
     return fp
 
 
-@lru_cache(maxsize=1 << 16)
 def _file_hash(pid: int, name: str) -> int:
     """The shared per-file routing hash (salt ``"file-owner"``).
 
-    Both the server-index and shard mappings reduce this same digest, so
-    it is hashed once per distinct (pid, name) instead of once per
-    mapping — a create-heavy workload presents a fresh name on every op,
-    which makes the sha256 itself the cost that matters.
+    Both the server-index and shard mappings reduce this same digest.
+    Not memoised itself: each system calls only one of the two mappings,
+    and each mapping keeps its own memo, so an inner cache would never
+    hit and would only hold a second copy of every recent key.
     """
     return _h256("file-owner", pid, name)
 

@@ -256,13 +256,17 @@ class ChangeLogEngine:
         One WAL record covers the whole batch.  Presence is tracked through
         a name→present overlay so later ops in the batch see earlier ones
         (a create+delete of the same name nets to zero), matching what
-        per-entry application in list order would produce.
+        per-entry application in timestamp order would produce.  The batch
+        arrives in merge order (remote logs first, see ``_merge_pulled``),
+        so it is applied through a stable sort on timestamp, exactly like
+        the non-recast path: a rename's delete must not precede the create
+        it undoes.
         """
         txn = self.kv.transaction()
         present: Dict[str, bool] = {}
         delta = 0
         kv = self.kv
-        for entry in entries:
+        for entry in sorted(entries, key=lambda e: e.timestamp):
             name = entry.name
             was = present.get(name)
             if was is None:

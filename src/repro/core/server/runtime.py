@@ -39,6 +39,28 @@ from ..schema import dir_meta_key, root_inode
 __all__ = ["ServerRuntime"]
 
 
+class _InodeLock(RWLock):
+    """An inode lock whose ``inode:{addr}:{key!r}`` label is built on read.
+
+    A server keeps one lock per inode it has ever touched, and only the
+    analysis tracer, reprs and error text read a lock's name; storing the
+    label would hold the repr of a 256-bit directory id per inode.  The
+    text is byte-identical to an eagerly named lock, because the analysis
+    layer groups locks by the ``inode:`` prefix.
+    """
+
+    __slots__ = ("_addr", "_key")
+
+    def __init__(self, sim: Simulator, addr: str, key: Tuple):
+        super().__init__(sim)
+        self._addr = addr
+        self._key = key
+
+    @property
+    def name(self) -> str:
+        return f"inode:{self._addr}:{self._key!r}"
+
+
 class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built at boot
     """CPU / lock / RPC / recovery-gate substrate shared by every server."""
 
@@ -164,7 +186,7 @@ class ServerRuntime:  # reprolint: allow[RL006] one instance per server, built a
     def _inode_lock(self, key: Tuple) -> RWLock:
         lock = self._inode_locks.get(key)
         if lock is None:
-            lock = RWLock(self.sim, name=f"inode:{self.addr}:{key!r}")
+            lock = _InodeLock(self.sim, self.addr, key)
             self._inode_locks[key] = lock
         return lock
 

@@ -308,12 +308,18 @@ class Process(Event):
                     err, exc = exc, None
                     target = gen.throw(err)
             except StopIteration as stop:
+                # A finished process must not reference itself (DESIGN.md
+                # §9): dropping the cached bound resume callback lets
+                # refcounting free the process, with its generator and
+                # result, once its last waiter lets go.
+                self._resume_cb = None
                 self.succeed(stop.value)
                 return
             except BaseException as err:  # noqa: BLE001 - propagate via event
                 # Covers both an unhandled throw (err is the exception we
                 # threw in) and a fresh exception raised by the generator;
                 # either way the process fails with what escaped.
+                self._resume_cb = None
                 self.fail(err)
                 return
             if not isinstance(target, Event):

@@ -16,6 +16,7 @@ Streams are deterministic given their seed, so runs replay identically.
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core.client import LibFS
@@ -256,7 +257,9 @@ class MixStream(OpStream):
             self._create_seq[d] = seq + 1
             src = f"{d}/mx-rnsrc{seq}"
             dst_dir = self._pick_dir()
-            dst = f"{dst_dir}/mx-rndst{seq}-{abs(hash(d)) % 997}"
+            # crc32, not hash(): str hashes are salted per interpreter, and
+            # the stream must not depend on PYTHONHASHSEED.
+            dst = f"{dst_dir}/mx-rndst{seq}-{zlib.crc32(d.encode()) % 997}"
 
             def thunk(fs: LibFS) -> Generator:
                 yield from safe_op(fs, fs.create(src), ("EEXIST",))

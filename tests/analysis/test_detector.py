@@ -113,6 +113,29 @@ class TestLockOrderCycles:
         kinds = [(e.kind, e.mode) for e in tracer.lock_events]
         assert ("acquire", "r") in kinds and ("release", "r") in kinds
 
+    def test_finished_holder_does_not_lend_its_holds(self):
+        # A finished process is freed at once, so the next process may
+        # reuse its address.  Holds it left behind (a deferred unlock)
+        # must not be charged to that newcomer as held-before edges.
+        sim = Simulator()
+        tracer = SimTracer()
+        tracer.attach(sim)
+        a = Lock(sim, name="lock-A")
+        b = Lock(sim, name="lock-B")
+
+        def take_and_leave(lock):
+            yield lock.acquire()
+
+        for _ in range(50):  # many chances for an address to be reused
+            sim.spawn(take_and_leave(a), name="leaver")
+            sim.run()
+            sim.spawn(take_and_leave(b), name="taker")
+            sim.run()
+            a.release()
+            b.release()
+        tracer.detach()
+        assert tracer.order_edges == {}
+
 
 class TestRaces:
     def test_unsynchronized_write_write_race_is_reported(self):

@@ -191,6 +191,44 @@ class TestRL103LockOrderGraph:
         assert set(report.lock_graph) == {("inode", "changelog")}
         assert report.cycles == []
 
+    def test_lazily_labelled_lock_subclass_is_a_producer(self, tmp_path):
+        # The label is built on read, so no constructor call carries it;
+        # the subclass's ``name`` property names the class instead.
+        lazy = RUNTIME.replace(
+            'return RWLock(self.sim, name=f"inode:{key}")',
+            "return _LazyInodeLock(self.sim, key)",
+        ) + """
+
+class _LazyInodeLock(RWLock):
+    def __init__(self, sim, key):
+        super().__init__(sim)
+        self._key = key
+
+    @property
+    def name(self):
+        return f"inode:{self._key!r}"
+"""
+        _write(tmp_path, "lazy.py", lazy + """
+
+class Ops(MiniRuntime):
+    def forward(self, key, dir_id):
+        ilock = self._inode_lock(key)
+        cl = self._changelog_lock(dir_id)
+        yield from self._acquire(ilock, "w")
+        yield from self._acquire(cl, "r")
+        cl.release_read()
+        ilock.release_write()
+        """)
+        report = flow.analyze_paths([tmp_path])
+        assert set(report.lock_graph) == {("inode", "changelog")}
+
+    def test_runtime_inode_lock_keeps_its_class(self):
+        from repro.analysis.callgraph import scan_project
+
+        project = scan_project([Path(repro.__file__).parent])
+        assert project.lock_producers["_inode_lock"] == "inode"
+        assert project.lock_producers["_changelog_lock"] == "changelog"
+
 
 class TestRL104StaleView:
     def test_seeded_stale_owner_is_caught(self, tmp_path):

@@ -40,6 +40,32 @@ class TestMergePulled:
         assert cluster.servers[0]._merge_pulled([], []) == []
 
 
+class TestApplyEntriesToList:
+    def test_batch_applies_in_timestamp_order_not_merge_order(self):
+        """A recast batch arrives remote-logs-first; a rename's delete
+        (late timestamp) may precede the create it undoes (early one)."""
+        cluster = make()
+        server = cluster.servers[0]
+        create = ChangeLogEntry(1.0, ChangeOp.CREATE, "moved")
+        delete = ChangeLogEntry(2.0, ChangeOp.DELETE, "moved")
+        kept = ChangeLogEntry(1.5, ChangeOp.CREATE, "kept")
+        merged = server._merge_pulled(
+            [{"logs": [(99, [delete])], "lsns": [0]}], [(99, [create, kept], [1, 2])])
+        (_dir_id, entries, _lsns), = merged
+        assert entries[0] is delete  # merge order puts the remote log first
+        assert server._apply_entries_to_list(99, entries) == 1
+        assert dir_entry_key(99, "moved") not in server.kv
+        assert dir_entry_key(99, "kept") in server.kv
+
+    def test_equal_timestamps_keep_merge_order(self):
+        cluster = make()
+        server = cluster.servers[0]
+        entries = [ChangeLogEntry(3.0, ChangeOp.CREATE, "x"),
+                   ChangeLogEntry(3.0, ChangeOp.DELETE, "x")]
+        assert server._apply_entries_to_list(5, entries) == 0
+        assert dir_entry_key(5, "x") not in server.kv
+
+
 class TestApplyEntryToList:
     def test_create_then_delete_roundtrip(self):
         cluster = make()

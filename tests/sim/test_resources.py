@@ -145,6 +145,58 @@ def test_rwlock_fifo_prevents_writer_starvation():
     assert log == [("writer", 10.0), ("late-reader", 15.0)]
 
 
+def test_rwlock_uncontended_holds_no_waiter_queue():
+    """Idle inode locks are numerous: no queue until someone must wait."""
+    sim = Simulator()
+    rw = RWLock(sim)
+
+    def user(sim, rw):
+        yield rw.acquire_read()
+        yield rw.acquire_read()
+        rw.release_read()
+        rw.release_read()
+        yield rw.acquire_write()
+        rw.release_write()
+        assert rw.try_acquire_write()
+        rw.release_write()
+        yield sim.timeout(1.0)
+
+    sim.spawn(user(sim, rw))
+    sim.run()
+    assert rw._waiters is None
+
+
+def test_rwlock_contended_grants_in_arrival_order():
+    """Waiters queued behind a writer are granted strictly FIFO: readers
+    in a run enter together, a writer waits for them all to leave."""
+    sim = Simulator()
+    rw = RWLock(sim)
+    log = []
+
+    def holder(sim, rw):
+        yield rw.acquire_write()
+        yield sim.timeout(10.0)
+        rw.release_write()
+
+    def waiter(sim, rw, tag, is_writer, arrive, hold):
+        yield sim.timeout(arrive)
+        yield rw.acquire_write() if is_writer else rw.acquire_read()
+        log.append((tag, sim.now))
+        yield sim.timeout(hold)
+        rw.release_write() if is_writer else rw.release_read()
+
+    sim.spawn(holder(sim, rw))
+    sim.spawn(waiter(sim, rw, "r1", False, 1.0, 2.0))
+    sim.spawn(waiter(sim, rw, "r2", False, 2.0, 4.0))
+    sim.spawn(waiter(sim, rw, "w1", True, 3.0, 1.0))
+    sim.spawn(waiter(sim, rw, "r3", False, 4.0, 1.0))
+    sim.spawn(waiter(sim, rw, "w2", True, 5.0, 1.0))
+    sim.run()
+    assert log == [("r1", 10.0), ("r2", 10.0), ("w1", 14.0),
+                   ("r3", 15.0), ("w2", 16.0)]
+    assert not rw._waiters and rw.readers == 0 and not rw.write_locked
+
+
 def test_rwlock_release_errors():
     sim = Simulator()
     rw = RWLock(sim)

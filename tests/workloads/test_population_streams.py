@@ -1,5 +1,9 @@
 """Population bootstrap and op-stream generators."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import FSConfig, SwitchFSCluster
@@ -138,6 +142,30 @@ class TestMixStream:
             if int(d[2:]) < 4:  # hottest 20% of 20 dirs
                 hot += 1
         assert hot / total > 0.7
+
+    def test_stream_does_not_depend_on_hash_seed(self):
+        """Rename targets included: two interpreters with different str
+        hash salts must draw the very same op stream."""
+        script = (
+            "from repro.workloads import MixStream, multiple_directories\n"
+            "from repro.workloads.mixes import OpMix\n"
+            "mix = OpMix('renames', (('rename', 0.5), ('create', 0.25), ('delete', 0.25)))\n"
+            "stream = MixStream(mix, multiple_directories(12, 3), seed=9)\n"
+            "for _ in range(300):\n"
+            "    t = stream.take()\n"
+            "    cells = zip(t.__code__.co_freevars, t.__closure__)\n"
+            "    print(t.op_name, sorted((n, c.cell_contents) for n, c in cells\n"
+            "                            if isinstance(c.cell_contents, str)))\n"
+        )
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert "mx-rndst" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestBurstStream:
