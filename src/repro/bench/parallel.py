@@ -6,9 +6,12 @@ benchmark point across workers.  A multi-directory metadata workload
 decomposes by directory: ops on different directory subtrees never
 touch the same inode, entry list or change-log, so the global op
 sequence splits into per-partition subsequences
-(:func:`~repro.sim.partition_of_dir`) that run concurrently, each in a
-worker process holding a private replica of the cluster built from the
-same config and seed.
+(:func:`partition_of_dir`) that run concurrently, each in a worker
+process holding a private replica of the cluster built from the same
+config and seed.  Partitions never exchange a message, so each one is an
+independent replica driven by the ordinary closed-loop
+:func:`~repro.bench.harness.run_stream`; there is nothing to
+synchronize between them.
 
 Equivalence contract (DESIGN.md §14, tested by
 ``tests/bench/test_parallel.py``):
@@ -24,29 +27,24 @@ Equivalence contract (DESIGN.md §14, tested by
   so latency distributions are compared statistically, never byte-wise.
 
 Wall-clock speedup comes from real cores: on a single-core host the
-pool degrades to serial and partitioned mode only adds window overhead.
+pool degrades to serial and partitioned mode only adds the per-worker
+cluster build.
 """
 
 from __future__ import annotations
 
-import gc
 import os
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
-from ..sim import (
-    AllOf,
-    LatencyRecorder,
-    PartitionGuard,
-    WindowedRunner,
-    lookahead_bound_us,
-    partition_of_dir,
-)
-from .harness import run_stream
+from ..workloads.generator import OpStream
+from .harness import RunResult, run_stream
 from .sweep import SweepPool, make_cluster, scaled_config
 
 __all__ = [
+    "partition_of_dir",
     "PartitionSpec",
     "PartitionResult",
     "run_partition",
@@ -55,6 +53,17 @@ __all__ = [
     "bench_parallel",
     "PARALLEL_SCALES",
 ]
+
+
+def partition_of_dir(path: str, nparts: int) -> int:
+    """Stable partition index for directory *path* (0 <= idx < nparts).
+
+    CRC32-based so the map is identical across processes and interpreter
+    launches regardless of ``PYTHONHASHSEED``.
+    """
+    if nparts <= 1:
+        return 0
+    return zlib.crc32(path.encode()) % nparts
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,6 @@ class PartitionSpec:
     files_per_dir: int = 32
     nparts: int = 1
     index: int = 0
-    #: Lookahead window width; None derives the RTT bound from the
-    #: cluster's perf model (one link + switch traversal).
-    window_us: Optional[float] = None
 
 
 @dataclass
@@ -92,7 +98,6 @@ class PartitionResult:
     ops_completed: int
     sim_elapsed_us: float
     wall_seconds: float
-    windows: int
     #: op name -> completed count
     op_counts: Dict[str, int] = field(default_factory=dict)
     #: directory path -> sorted entry names after the run has settled
@@ -132,13 +137,42 @@ def _snapshot_namespace(cluster, dir_paths: List[str]) -> Dict[str, List[str]]:
     return out
 
 
+class _ReplayStream(OpStream):
+    """Hands out a precomputed list of thunks in order."""
+
+    def __init__(self, thunks: List[Any]):
+        super().__init__("replay")
+        self._next = iter(thunks).__next__
+
+    def next_thunk(self):
+        return self._next()
+
+
+def _result(index: int, run: RunResult,
+            namespace: Dict[str, List[str]]) -> PartitionResult:
+    return PartitionResult(
+        index=index,
+        ops_completed=run.ops_completed,
+        sim_elapsed_us=run.sim_elapsed_us,
+        wall_seconds=run.wall_seconds,
+        op_counts={
+            op: len(run.latency.samples(op))
+            for op in run.latency.ops()
+            if op != "all"
+        },
+        namespace=namespace,
+        latency_samples=run.latency.samples("all"),
+    )
+
+
 def run_partition(spec: PartitionSpec, instrument=None) -> PartitionResult:
     """Execute one partition's subsequence (module-level: picklable).
 
     Regenerates the global ``spec.total_ops`` op sequence, keeps the ops
-    owned by ``spec.index``, and drives them closed-loop through a
-    :class:`~repro.sim.WindowedRunner` with every injected op audited by
-    the :class:`~repro.sim.PartitionGuard`.
+    owned by ``spec.index``, and drives them closed-loop through
+    :func:`~repro.bench.harness.run_stream` with this partition's share
+    of the in-flight level.  A partition is the serial driver run on a
+    subset of the ops.
 
     *instrument*, when given, is called with the freshly-built cluster
     before any op runs — the hook the analysis tests use to attach a
@@ -148,97 +182,37 @@ def run_partition(spec: PartitionSpec, instrument=None) -> PartitionResult:
     cluster, pop, stream = _build(spec)
     if instrument is not None:
         instrument(cluster)
-    sim = cluster.sim
     thunks = [
         t for t in (stream.take() for _ in range(spec.total_ops))
         if partition_of_dir(t.dir_path, spec.nparts) == spec.index
     ]
-    guard = PartitionGuard(spec.nparts, spec.index)
-    window = (
-        spec.window_us
-        if spec.window_us is not None
-        else lookahead_bound_us(cluster.config.perf)
-    )
-    latency = LatencyRecorder()
-    op_counts: Dict[str, int] = {}
-    state = {"next": 0, "end": sim.now}
-    total = len(thunks)
-    inflight = max(1, spec.inflight // spec.nparts)
-
-    def worker():
-        fs = cluster.client(0)
-        while state["next"] < total:
-            i = state["next"]
-            state["next"] = i + 1
-            thunk = guard.admit(thunks[i])
-            t0 = sim.now
-            yield from thunk(fs)
-            latency.record(sim.now - t0, "all")
-            op_counts[thunk.op_name] = op_counts.get(thunk.op_name, 0) + 1
-            state["end"] = sim.now
-
-    def join(procs):
-        yield AllOf(sim, procs)
-
-    start = sim.now
-    runner = WindowedRunner(sim, window)
-    procs = [
-        sim.spawn(worker(), name=f"part{spec.index}-worker-{w}")
-        for w in range(inflight)
-    ]
-    # Same GC discipline as run_stream: collect once up front, keep the
-    # collector out of the measured window (EXPERIMENTS.md).
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.collect()
-        gc.disable()
-    wall0 = time.time()
-    try:
-        runner.run_process(sim.spawn(join(procs), name=f"part{spec.index}-join"))
-    finally:
-        wall1 = time.time()
-        if gc_was_enabled:
-            gc.enable()
-
     mine = [d for d in pop.dir_paths
             if partition_of_dir(d, spec.nparts) == spec.index]
-    return PartitionResult(
-        index=spec.index,
-        ops_completed=total,
-        sim_elapsed_us=state["end"] - start,
-        wall_seconds=wall1 - wall0,
-        windows=runner.windows,
-        op_counts=op_counts,
-        namespace=_snapshot_namespace(cluster, mine),
-        latency_samples=latency.samples("all"),
+    if not thunks:  # more partitions than the op stream touched dirs
+        return PartitionResult(index=spec.index, ops_completed=0,
+                               sim_elapsed_us=0.0, wall_seconds=0.0,
+                               namespace=_snapshot_namespace(cluster, mine))
+    run = run_stream(
+        cluster,
+        _ReplayStream(thunks),
+        total_ops=len(thunks),
+        inflight=max(1, spec.inflight // spec.nparts),
+        op_label=spec.op,
     )
+    return _result(spec.index, run, _snapshot_namespace(cluster, mine))
 
 
 def run_serial_reference(spec: PartitionSpec) -> PartitionResult:
     """The classic monolithic run of the same point (equivalence oracle)."""
     cluster, pop, stream = _build(spec)
-    result = run_stream(
+    run = run_stream(
         cluster,
         stream,
         total_ops=spec.total_ops,
         inflight=spec.inflight,
         op_label=spec.op,
     )
-    op_counts = {
-        op: len(result.latency.samples(op))
-        for op in result.latency.ops()
-        if op != "all"
-    }
-    return PartitionResult(
-        index=-1,
-        ops_completed=result.ops_completed,
-        sim_elapsed_us=result.sim_elapsed_us,
-        wall_seconds=result.wall_seconds,
-        windows=0,
-        op_counts=op_counts,
-        namespace=_snapshot_namespace(cluster, list(pop.dir_paths)),
-        latency_samples=result.latency.samples("all"),
-    )
+    return _result(-1, run, _snapshot_namespace(cluster, list(pop.dir_paths)))
 
 
 def merge_partitions(parts: List[PartitionResult]) -> PartitionResult:
@@ -255,7 +229,6 @@ def merge_partitions(parts: List[PartitionResult]) -> PartitionResult:
         ops_completed=sum(p.ops_completed for p in parts),
         sim_elapsed_us=max((p.sim_elapsed_us for p in parts), default=0.0),
         wall_seconds=sum(p.wall_seconds for p in parts),
-        windows=sum(p.windows for p in parts),
     )
     for p in sorted(parts, key=lambda p: p.index):
         for op, n in p.op_counts.items():
@@ -333,7 +306,6 @@ def bench_parallel(
         ) if parallel.wall_seconds else 0.0,
         "speedup": round(serial.wall_seconds / parallel.wall_seconds, 3)
         if parallel.wall_seconds else 0.0,
-        "lookahead_windows": parallel.windows,
         "equivalent": equivalent,
         "host_cpus": os.cpu_count() or 1,
     }

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
-from ..sim import Event, Simulator, Store
+from ..sim import Event, Simulator, Store, stable_hash
 from .faults import FaultModel
 from .packet import Packet, STALESET_PORT
 
@@ -131,7 +131,7 @@ def multi_spine_path(
     a packet carrying a stale-set operation is routed through the spine
     designated for its fingerprint, so each spine holds a disjoint slice
     of the stale set.  Packets without stale-set headers balance over the
-    spines by flow hash.
+    spines by a stable flow hash (:func:`~repro.sim.stable_hash`).
     """
     spines = list(spines)
     if not spines:
@@ -141,7 +141,7 @@ def multi_spine_path(
     def spine_index(packet: Packet) -> int:
         if packet.port == STALESET_PORT and packet.header is not None:
             return packet.header.fingerprint % k
-        return hash((packet.src, packet.dst)) % k
+        return stable_hash(f"{packet.src}>{packet.dst}") % k
 
     def path(packet: Packet) -> List[SwitchDevice]:
         idx = spine_index(packet)

@@ -17,14 +17,14 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .partition import (
-    PartitionGuard,
-    PartitionViolation,
-    WindowedRunner,
-    lookahead_bound_us,
-    partition_of_dir,
+from .rand import (
+    AliasTable,
+    ZipfGenerator,
+    make_rng,
+    stable_hash,
+    weighted_choice,
+    zipf_weights,
 )
-from .rand import AliasTable, ZipfGenerator, make_rng, weighted_choice, zipf_weights
 from .resources import Lock, Resource, RWLock, Store
 from .stats import Counter, LatencyRecorder, PhaseStats, ThroughputMeter, percentile
 
@@ -47,13 +47,9 @@ __all__ = [
     "Counter",
     "percentile",
     "make_rng",
+    "stable_hash",
     "ZipfGenerator",
     "weighted_choice",
     "AliasTable",
     "zipf_weights",
-    "PartitionGuard",
-    "PartitionViolation",
-    "WindowedRunner",
-    "lookahead_bound_us",
-    "partition_of_dir",
 ]

@@ -15,12 +15,20 @@ engine's arrival sequence is bit-identical across population sizes
 from __future__ import annotations
 
 import bisect
+import hashlib
 import random
 from array import array
 from math import fsum
 from typing import List, Sequence, TypeVar
 
-__all__ = ["make_rng", "ZipfGenerator", "weighted_choice", "AliasTable", "zipf_weights"]
+__all__ = [
+    "make_rng",
+    "stable_hash",
+    "ZipfGenerator",
+    "weighted_choice",
+    "AliasTable",
+    "zipf_weights",
+]
 
 T = TypeVar("T")
 
@@ -32,6 +40,17 @@ def make_rng(seed: int, stream: str = "") -> random.Random:
     single experiment seed without sharing state.
     """
     return random.Random(f"{seed}:{stream}")
+
+
+def stable_hash(text: str) -> int:
+    """A 64-bit digest of *text* that is the same in every interpreter.
+
+    For routing choices (ECMP flow hash, host -> pipe): ``hash()`` is
+    salted per launch by ``PYTHONHASHSEED``, and bare CRC32 is affine, so
+    ``crc32(x) % k`` puts names that differ in one character
+    (``server-0``, ``server-1`` ...) on the same few buckets.
+    """
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
 class ZipfGenerator:

@@ -46,6 +46,7 @@ from typing import Callable, List, Optional
 
 from ..net.packet import Packet, StaleSetHeader, StaleSetOp, STALESET_PORT, FINGERPRINT_BITS
 from ..net.rpc import RpcResponse
+from ..sim import stable_hash
 from .dentry_cache import DentryCache, DentryCacheConfig
 from .stale_set import StaleSet, StaleSetConfig
 
@@ -77,7 +78,9 @@ class ProgrammableSwitch:
             for _ in range(num_pipes)
         ]
         self._fingerprint_owner = fingerprint_owner
-        self._pipe_of_host = pipe_of_host or (lambda host: hash(host) % num_pipes)
+        self._pipe_of_host = pipe_of_host or (
+            lambda host: stable_hash(host) % num_pipes
+        )
         # Host → pipe results are stable for a run; memoise so the hot
         # per-packet mirror check is one dict probe instead of a callback.
         self._pipe_of_host_cache: dict = {}

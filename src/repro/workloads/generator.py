@@ -109,8 +109,8 @@ class FixedOpStream(OpStream):
         op = self.op
         d = self._pick_dir()
         thunk = self._thunk_for(op, d)
-        # Partitioned mode routes ops by target directory; every thunk
-        # carries its directory so the partition guard can audit it.
+        # Every thunk carries its directory: partitioned mode
+        # (repro.bench.parallel) routes ops by it.
         thunk.dir_path = d
         return thunk
 

@@ -2,13 +2,14 @@
 
 The mode's contract has three tiers (DESIGN.md §14): bit-identical
 across worker counts, state-equivalent to the monolithic serial run,
-stats-equivalent latency.  These tests pin all three plus the safety
-machinery (partition guard, lookahead windows) and run the analysis
-layer (SimTracer; the pool sanitizer is session-wide via conftest) over
-a partitioned run.
+stats-equivalent latency.  These tests pin all three plus the
+directory -> partition map, pin that a partition is the serial driver
+run on a subset of the ops, and run the analysis layer (SimTracer; the
+pool sanitizer is session-wide via conftest) over a partitioned run.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -16,20 +17,12 @@ from repro.bench.parallel import (
     PartitionSpec,
     bench_parallel,
     merge_partitions,
+    partition_of_dir,
     run_parallel,
     run_partition,
     run_serial_reference,
 )
 from repro.bench.sweep import SweepPool
-from repro.sim import (
-    AllOf,
-    PartitionGuard,
-    PartitionViolation,
-    Simulator,
-    WindowedRunner,
-    lookahead_bound_us,
-    partition_of_dir,
-)
 
 TINY = PartitionSpec(total_ops=600, dirs=8, num_servers=2,
                      cores_per_server=2, inflight=8)
@@ -60,94 +53,6 @@ class TestPartitionMap:
     def test_covers_all_partitions(self):
         dirs = [f"/d{i}" for i in range(64)]
         assert {partition_of_dir(d, 4) for d in dirs} == {0, 1, 2, 3}
-
-
-class TestWindowedRunner:
-    def _workload(self, sim, log):
-        def ticker(period, count, tag):
-            for i in range(count):
-                yield sim.timeout(period)
-                log.append((sim.now, tag, i))
-
-        def join(procs):
-            yield AllOf(sim, procs)
-
-        procs = [
-            sim.spawn(ticker(3.0, 40, "a"), name="a"),
-            sim.spawn(ticker(7.0, 20, "b"), name="b"),
-        ]
-        return sim.spawn(join(procs), name="join")
-
-    def test_bit_identical_to_plain_run(self):
-        """Windowing never reorders events: same completion log either way."""
-        plain_sim = Simulator()
-        plain_log = []
-        plain_sim.run_process(self._workload(plain_sim, plain_log))
-
-        win_sim = Simulator()
-        win_log = []
-        runner = WindowedRunner(win_sim, window_us=0.8)
-        runner.run_process(self._workload(win_sim, win_log))
-
-        assert win_log == plain_log
-        assert runner.windows > 1
-
-    def test_window_hook_sees_monotonic_time(self):
-        sim = Simulator()
-        times = []
-        runner = WindowedRunner(sim, window_us=2.0, on_window=times.append)
-        runner.run_process(self._workload(sim, []))
-        assert times == sorted(times)
-        assert len(times) == runner.windows
-
-    def test_idle_gaps_are_jumped(self):
-        """Window count tracks busy time, not total virtual span."""
-        sim = Simulator()
-
-        def sparse():
-            yield sim.timeout(10_000.0)
-            yield sim.timeout(10_000.0)
-
-        runner = WindowedRunner(sim, window_us=1.0)
-        runner.run_process(sim.spawn(sparse(), name="sparse"))
-        assert runner.windows <= 4  # not ~20k windows
-
-    def test_rejects_nonpositive_window(self):
-        with pytest.raises(Exception):
-            WindowedRunner(Simulator(), window_us=0.0)
-
-
-class TestPartitionGuard:
-    def _thunk(self, d):
-        def t(fs):
-            yield
-        t.dir_path = d
-        t.op_name = "create"
-        return t
-
-    def test_admits_own_partition(self):
-        d = "/d0"
-        guard = PartitionGuard(4, partition_of_dir(d, 4))
-        guard.admit(self._thunk(d))
-        assert guard.admitted == 1
-
-    def test_raises_on_foreign_dir(self):
-        d = "/d0"
-        wrong = (partition_of_dir(d, 4) + 1) % 4
-        with pytest.raises(PartitionViolation):
-            PartitionGuard(4, wrong).admit(self._thunk(d))
-
-    def test_raises_on_unstamped_thunk(self):
-        def bare(fs):
-            yield
-        with pytest.raises(PartitionViolation):
-            PartitionGuard(2, 0).admit(bare)
-
-    def test_lookahead_bound_is_min_message_latency(self):
-        from repro.core import FSConfig
-        perf = FSConfig().perf
-        bound = lookahead_bound_us(perf)
-        assert 0 < bound <= perf.link_latency_us + perf.switch_latency_us
 
 
 class TestEquivalenceOracle:
@@ -181,7 +86,29 @@ class TestEquivalenceOracle:
         assert a.sim_elapsed_us == b.sim_elapsed_us
         assert a.latency_samples == b.latency_samples
         assert a.namespace == b.namespace
-        assert a.windows == b.windows
+
+    @pytest.mark.parametrize("spec", [
+        TINY,
+        PartitionSpec(total_ops=5_000, dirs=64, num_servers=8, inflight=64),
+    ], ids=["tiny", "5k-64dirs"])
+    def test_single_partition_is_the_serial_run(self, spec):
+        """One partition owns every op, so it *is* the serial run."""
+        part = run_partition(replace(spec, nparts=1, index=0))
+        serial = run_serial_reference(spec)
+        assert part.latency_samples == serial.latency_samples
+        assert part.sim_elapsed_us == serial.sim_elapsed_us
+        assert part.namespace == serial.namespace
+        assert part.op_counts == serial.op_counts
+        assert part.ops_completed == serial.ops_completed
+
+    def test_more_partitions_than_dirs(self):
+        """Partitions that own no directory run nothing and merge cleanly."""
+        spec = replace(TINY, total_ops=60, dirs=2)
+        serial = run_serial_reference(spec)
+        parallel = run_parallel(spec, workers=4, pool=SweepPool(serial=True))
+        assert parallel.namespace == serial.namespace
+        assert parallel.op_counts == serial.op_counts
+        assert parallel.ops_completed == 60
 
     def test_every_op_executes_exactly_once(self):
         parts = [
@@ -199,7 +126,6 @@ class TestEquivalenceOracle:
         entry = results["parallel_partition_create"]
         assert entry["equivalent"] is True
         assert entry["workers"] == 2
-        assert entry["lookahead_windows"] > 0
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 4,
                         reason="wall-clock speedup needs real cores")

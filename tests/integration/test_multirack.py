@@ -5,6 +5,10 @@ directories are range-partitioned over them by fingerprint.  Semantics
 must be identical to single-rack; the observable differences are longer
 paths (4 links) and stale-set state spread over the spines."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import FSConfig, FSError, SwitchFSCluster, fingerprint_of, ROOT_ID
@@ -98,6 +102,49 @@ class TestMultipleSpines:
         assert all(s.occupancy == 0 for s in cluster.spines)
         for i in range(8):
             assert cluster.run_op(fs.statdir(f"/dir{i}"))["entry_count"] == 1
+
+
+class TestRoutingDigests:
+    def test_flow_hash_uses_both_spines(self):
+        """Plain crc32 % 2 is affine in the host names and sent 40 of
+        these 42 flow-hashed packets through one spine."""
+        cluster = make(num_spine_switches=2)
+        fs = cluster.client(0)
+        for i in range(6):
+            cluster.run_op(fs.mkdir(f"/dir{i}"))
+            for j in range(4):
+                cluster.run_op(fs.create(f"/dir{i}/f{j}"))
+        counts = [s.forwarded for s in cluster.spines]
+        assert min(counts) >= sum(counts) // 4, counts
+
+    def test_routing_does_not_depend_on_hash_seed(self):
+        """Spine flow hashing and the default host -> pipe map use a
+        stable digest: two interpreters with different str hash salts
+        route every packet the same way."""
+        script = (
+            "from repro.core import FSConfig, SwitchFSCluster\n"
+            "from repro.switchfab import ProgrammableSwitch\n"
+            "cluster = SwitchFSCluster(FSConfig(num_servers=4, cores_per_server=2,\n"
+            "    seed=14, topology='leaf-spine', num_racks=2, num_spine_switches=2))\n"
+            "fs = cluster.client(0)\n"
+            "for i in range(6):\n"
+            "    cluster.run_op(fs.mkdir(f'/dir{i}'))\n"
+            "    for j in range(4):\n"
+            "        cluster.run_op(fs.create(f'/dir{i}/f{j}'))\n"
+            "print([s.forwarded for s in cluster.spines])\n"
+            "sw = ProgrammableSwitch(num_pipes=4)\n"
+            "hosts = [f'server-{i}' for i in range(8)] + [f'client-{i}' for i in range(4)]\n"
+            "print({h: sw._pipe_of_host(h) for h in hosts})\n"
+        )
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..", "src"))
+        outputs = []
+        for hash_seed in ("11", "22"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert outputs[0].count("\n") == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestConfigValidation:
