@@ -1,17 +1,24 @@
 """CI perf-regression gate — compares a fresh run against a committed baseline.
 
-Usage (after the per-suite perf scripts recorded a ``--label ci-smoke``
-entry at tiny scale)::
+Usage (after ``repro perf --tiny --label ci-smoke`` recorded a fresh
+entry in every trajectory file)::
 
     PYTHONPATH=src python benchmarks/perf/check_regression.py \\
-        --baseline ci-baseline --label ci-smoke --max-regression 0.25
+        --baseline ci-baseline --label ci-smoke
 
-For every suite trajectory (``BENCH_kernel.json``, ``BENCH_rpc.json``,
-``BENCH_store.json``, ``BENCH_e2e.json``) the gate loads the committed
-*baseline* entry and the freshly recorded *label* entry and fails (exit
-1) when any workload's rate dropped more than ``--max-regression`` below
-the baseline.  Suites without a usable baseline (missing entry or
-mismatched scale) are skipped with a warning — the gate only bites where
+The gate applies every row of :data:`repro.bench.perf.PERF_BOUNDS`:
+
+* per suite (``BENCH_kernel.json``, ``BENCH_rpc.json``,
+  ``BENCH_store.json``, ``BENCH_e2e.json``), any workload whose rate
+  dropped more than 25% below the committed *baseline* entry fails;
+* the dentry-cache hotspot sweep point must hit at least 50% in the
+  switch (the virtual-time run is deterministic, so a drop is a datapath
+  bug, not noise);
+* the 100K-user fan-in arm's wall time must stay within 1.5x of the
+  10K-user arm's in the same entry (run cost is O(load), not O(users)).
+
+Any failure exits 1.  A row with nothing to compare (missing entry or
+mismatched scale) is skipped with a warning — the gate only bites where
 a comparable baseline was deliberately committed.
 
 ``REPRO_PERF_GATE_SKIP=1`` disables the gate entirely (hardware swaps:
@@ -28,13 +35,14 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 if os.path.isdir(os.path.join(REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
-from repro.bench.perf import (  # noqa: E402
-    CACHE_GATE_WORKLOAD,
-    SUITE_RATE_KEYS,
-    gate_cache_hit_rate,
-    gate_fanin_wall_growth,
-    gate_regressions,
-)
+from repro.bench.perf import CACHE_GATE_WORKLOAD, PERF_BOUNDS, check_bound  # noqa: E402
+
+#: check -> what a pass means, formatted with the bound and the baseline
+RULES = {
+    "wall_drop": "within {limit:.0%} of {baseline!r}",
+    "hit_rate_floor": ">= {limit:.0%} on " + CACHE_GATE_WORKLOAD,
+    "wall_growth": "10K -> 100K users within {limit:.2f}x wall",
+}
 
 
 def main(argv=None) -> int:
@@ -43,17 +51,8 @@ def main(argv=None) -> int:
                         help="committed trajectory label to gate against")
     parser.add_argument("--label", default="ci-smoke",
                         help="freshly recorded label to check")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="allowed fractional rate drop (default 0.25)")
     parser.add_argument("--dir", default=REPO_ROOT,
                         help="directory holding BENCH_*.json")
-    parser.add_argument("--min-cache-hit-rate", type=float, default=0.5,
-                        help="required in-switch dentry-cache hit rate on the "
-                             "hotspot sweep point (default 0.5; 0 disables)")
-    parser.add_argument("--max-fanin-wall-growth", type=float, default=1.5,
-                        help="allowed fan-in wall-cost ratio between the 10K- "
-                             "and 100K-user arms at the same offered load "
-                             "(default 1.5; 0 disables)")
     args = parser.parse_args(argv)
 
     if os.environ.get("REPRO_PERF_GATE_SKIP", "") not in ("", "0"):
@@ -61,55 +60,16 @@ def main(argv=None) -> int:
         return 0
 
     failures = []
-    for suite in SUITE_RATE_KEYS:
-        path = os.path.join(args.dir, f"BENCH_{suite}.json")
-        result = gate_regressions(
-            path, suite, args.baseline, args.label,
-            max_regression=args.max_regression,
-        )
+    for bound in PERF_BOUNDS:
+        result = check_bound(bound, args.dir, args.baseline, args.label)
         if result is None:
-            print(f"perf gate: {suite}: no comparable baseline "
-                  f"{args.baseline!r} at matching scale — skipped")
-            continue
-        if result:
-            failures.extend(result)
-        else:
-            print(f"perf gate: {suite}: ok "
-                  f"(within {args.max_regression:.0%} of {args.baseline!r})")
-
-    # Absolute cache-effectiveness gate: the freshly recorded hotspot
-    # sweep point must hit in the switch most of the time (the run is
-    # deterministic in virtual time, so this is a functional check, not a
-    # hardware-sensitive one).
-    if args.min_cache_hit_rate > 0:
-        path = os.path.join(args.dir, "BENCH_e2e.json")
-        result = gate_cache_hit_rate(
-            path, args.label, min_hit_rate=args.min_cache_hit_rate)
-        if result is None:
-            print(f"perf gate: cache-hit-rate: no {CACHE_GATE_WORKLOAD!r} "
-                  f"entry for {args.label!r} — skipped")
+            print(f"perf gate: {bound.name}: nothing comparable for "
+                  f"{args.label!r} vs {args.baseline!r} — skipped")
         elif result:
             failures.extend(result)
         else:
-            print(f"perf gate: cache-hit-rate: ok "
-                  f"(>= {args.min_cache_hit_rate:.0%} on {CACHE_GATE_WORKLOAD})")
-
-    # Absolute fan-in flatness gate: the 10K- and 100K-user arms ran the
-    # same offered load in the same process, so their wall ratio is an
-    # engine property — growth means the per-op path picked up an
-    # O(users) term (DESIGN.md §16).
-    if args.max_fanin_wall_growth > 0:
-        path = os.path.join(args.dir, "BENCH_e2e.json")
-        result = gate_fanin_wall_growth(
-            path, args.label, max_growth=args.max_fanin_wall_growth)
-        if result is None:
-            print(f"perf gate: fanin-wall-growth: no fan-in arms recorded "
-                  f"for {args.label!r} — skipped")
-        elif result:
-            failures.extend(result)
-        else:
-            print(f"perf gate: fanin-wall-growth: ok (10K -> 100K users "
-                  f"within {args.max_fanin_wall_growth:.2f}x wall)")
+            rule = RULES[bound.check].format(limit=bound.limit, baseline=args.baseline)
+            print(f"perf gate: {bound.name}: ok ({rule})")
 
     if failures:
         print(f"perf gate: {len(failures)} regression(s):", file=sys.stderr)

@@ -28,6 +28,14 @@ import sys
 from typing import List, Optional
 
 from .bench import SweepPool, SYSTEMS, make_cluster, print_table, run_stream, scaled_config
+from .bench.perf import (
+    SUITES,
+    compare_rates,
+    profile_suite,
+    record_entry,
+    trajectory_entry,
+    write_profile,
+)
 from .core import FSConfig, SwitchFSCluster
 from .net import FaultModel
 from .sim import make_rng
@@ -232,42 +240,31 @@ def _compare_point(point: dict) -> List:
 
 def _compare_trajectories(labels: str, out_dir: Optional[str]) -> int:
     """Print per-workload speedups between two labels across every
-    BENCH_*.json trajectory file present (kernel, rpc, store, e2e)."""
-    from .bench.perf import compare_rates, load_trajectory
-
+    BENCH_*.json trajectory file present (one per perf suite)."""
     older, _, newer = labels.partition(",")
     older, newer = older.strip(), newer.strip()
     if not older or not newer:
         print("error: --perf-labels wants OLD,NEW", file=sys.stderr)
         return 2
     base = out_dir or os.getcwd()
-    suites = [
-        ("kernel", "BENCH_kernel.json", "events_per_sec"),
-        ("rpc", "BENCH_rpc.json", "ops_per_sec"),
-        ("store", "BENCH_store.json", "ops_per_sec"),
-        ("e2e", "BENCH_e2e.json", "wall_ops_per_sec"),
-    ]
     shown = 0
-    for suite, fname, rate_key in suites:
-        path = os.path.join(base, fname)
-        if not os.path.exists(path):
+    for suite in SUITES.values():
+        path = os.path.join(base, suite.filename)
+        old = trajectory_entry(path, suite.name, older)
+        new = trajectory_entry(path, suite.name, newer)
+        if old is None or new is None:
             continue
-        data = load_trajectory(path, suite)
-        by_label = {e.get("label"): e for e in data["history"]}
-        if older not in by_label or newer not in by_label:
-            continue
-        old_cpus = by_label[older].get("host_cpus")
-        new_cpus = by_label[newer].get("host_cpus")
+        old_cpus, new_cpus = old.get("host_cpus"), new.get("host_cpus")
         if old_cpus != new_cpus:
             print(
-                f"warning: {suite}: {older!r} ({old_cpus or '?'} cpus) and "
+                f"warning: {suite.name}: {older!r} ({old_cpus or '?'} cpus) and "
                 f"{newer!r} ({new_cpus or '?'} cpus) were recorded on "
                 f"different hardware — wall-rate speedups are not comparable",
                 file=sys.stderr,
             )
-        speedups = compare_rates(data, rate_key, older, newer)
+        speedups = compare_rates(old, new, suite.rate_key)
         print_table(
-            f"{suite}: {newer} / {older} ({rate_key})",
+            f"{suite.name}: {newer} / {older} ({suite.rate_key})",
             ["workload", "speedup"],
             [[name, f"{s:,.3f}x"] for name, s in speedups.items()],
         )
@@ -298,28 +295,11 @@ def cmd_compare(args) -> int:
     return 0
 
 
-# Wall-clock suites: name -> (bench runner kwargs key, trajectory file,
-# rate key, table headers).  ``repro perf --suite`` picks among them.
-PERF_SUITES = ("kernel", "rpc", "store", "e2e")
-
-
 def cmd_perf(args) -> int:
-    """Wall-clock suites; see benchmarks/perf/ and EXPERIMENTS.md."""
-    from .bench.perf import (
-        bench_e2e,
-        bench_elasticity,
-        bench_fanin,
-        bench_kernel,
-        bench_rpc,
-        bench_store,
-        bench_switch_cache,
-        profile_suite,
-        record_entry,
-        write_profile,
-    )
-
+    """Wall-clock suites of the :data:`repro.bench.perf.SUITES` registry;
+    see EXPERIMENTS.md "Wall-clock methodology"."""
     scale = "tiny" if args.tiny else "full"
-    selected = PERF_SUITES if args.suite == "all" else (args.suite,)
+    selected = list(SUITES) if args.suite == "all" else [args.suite]
     recorded = []
     out_dir = args.out_dir or os.getcwd()
 
@@ -363,87 +343,38 @@ def cmd_perf(args) -> int:
     if profiling:
         args.no_record = True
 
-    def _run_suite(suite: str, fn):
-        """Run one suite's bench callable, profiled when asked."""
-        if not profiling:
-            return fn()
-        results, report = profile_suite(fn, top=args.profile_top)
-        for sort_key, title in (
-            ("top_cumulative", "cumulative"),
-            ("top_tottime", "self time"),
-        ):
-            print_table(
-                f"{suite} profile: top {args.profile_top} by {title} "
-                f"({report['total_time_s']:.3f}s total)",
-                ["function", "ncalls", "tottime s", "cumtime s"],
-                [[r["function"], f"{r['ncalls']:,}",
-                  f"{r['tottime_s']:.4f}", f"{r['cumtime_s']:.4f}"]
-                 for r in report[sort_key]],
-            )
-        path = os.path.join(out_dir, f"PROFILE_{suite}.json")
-        write_profile(path, suite, report, label=args.label, scale=scale)
-        print(f"profile -> {path}")
-        return results
-
-    if "kernel" in selected:
-        kernel = _run_suite(
-            "kernel", lambda: bench_kernel(scale=scale, repeats=args.repeats))
+    for name in selected:
+        suite = SUITES[name]
+        if profiling:
+            results, report = profile_suite(suite.run, scale, top=args.profile_top)
+            for sort_key, title in (
+                ("top_cumulative", "cumulative"),
+                ("top_tottime", "self time"),
+            ):
+                print_table(
+                    f"{name} profile: top {args.profile_top} by {title} "
+                    f"({report['total_time_s']:.3f}s total)",
+                    ["function", "ncalls", "tottime s", "cumtime s"],
+                    [[r["function"], f"{r['ncalls']:,}",
+                      f"{r['tottime_s']:.4f}", f"{r['cumtime_s']:.4f}"]
+                     for r in report[sort_key]],
+                )
+            path = os.path.join(out_dir, f"PROFILE_{name}.json")
+            write_profile(path, name, report, label=args.label, scale=scale)
+            print(f"profile -> {path}")
+        else:
+            results = suite.run(scale)
         print_table(
-            f"kernel events/sec ({scale})",
-            ["workload", "events/s", "wall s"],
-            [[name, f"{r['events_per_sec']:,.0f}", r["wall_seconds"]]
-             for name, r in kernel.items()],
-        )
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_kernel.json")
-            record_entry(path, "kernel", kernel, label=args.label, scale=scale)
-            recorded.append(path)
-    if "rpc" in selected:
-        rpc = _run_suite(
-            "rpc", lambda: bench_rpc(scale=scale, repeats=args.repeats))
-        print_table(
-            f"rpc/datapath ops/sec ({scale})",
-            ["workload", "ops/s", "wall s"],
-            [[name, f"{r['ops_per_sec']:,.0f}", r["wall_seconds"]]
-             for name, r in rpc.items()],
-        )
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_rpc.json")
-            record_entry(path, "rpc", rpc, label=args.label, scale=scale)
-            recorded.append(path)
-    if "store" in selected:
-        store = _run_suite(
-            "store", lambda: bench_store(scale=scale, repeats=args.repeats))
-        print_table(
-            f"storage engine ops/sec ({scale})",
-            ["workload", "ops/s", "wall s"],
-            [[name, f"{r['ops_per_sec']:,.0f}", r["wall_seconds"]]
-             for name, r in store.items()],
-        )
-        if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_store.json")
-            record_entry(path, "store", store, label=args.label, scale=scale)
-            recorded.append(path)
-    if "e2e" in selected:
-        def _e2e():
-            out = bench_e2e(scale=scale)
-            out.update(bench_switch_cache(scale=scale))
-            out.update(bench_elasticity(scale=scale))
-            out.update(bench_fanin(scale=scale))
-            return out
-
-        e2e = _run_suite("e2e", _e2e)
-        print_table(
-            f"end-to-end wall clock ({scale})",
-            ["benchmark", "ops/s wall", "wall s", "sim Kops/s", "cache hit"],
-            [[name, f"{r['wall_ops_per_sec']:,.0f}", r["wall_seconds"],
+            f"{suite.title} ({scale})",
+            ["workload", suite.rate_key, "wall s", "sim Kops/s", "cache hit"],
+            [[workload, f"{r[suite.rate_key]:,.0f}", r["wall_seconds"],
               f"{r['sim_throughput_kops']:,.1f}" if "sim_throughput_kops" in r else "-",
               f"{r['cache_hit_rate']:.1%}" if r.get("cache_hit_rate") else "-"]
-             for name, r in e2e.items()],
+             for workload, r in results.items()],
         )
         if not args.no_record:
-            path = os.path.join(out_dir, "BENCH_e2e.json")
-            record_entry(path, "e2e", e2e, label=args.label, scale=scale)
+            path = os.path.join(out_dir, suite.filename)
+            record_entry(path, name, results, label=args.label, scale=scale)
             recorded.append(path)
     if recorded:
         print(f"recorded {args.label!r} -> {', '.join(recorded)}")
@@ -738,12 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perf", help="wall-clock kernel + rpc + store + e2e suites")
     p.add_argument("--suite", default="all",
-                   choices=("all",) + PERF_SUITES,
+                   choices=("all", *SUITES),
                    help="run one suite only (default: all)")
     p.add_argument("--tiny", action="store_true",
                    help="CI-smoke scale (seconds, not minutes)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="take best wall time of N kernel runs (default 3)")
     p.add_argument("--label", default="dev", help="trajectory entry label")
     p.add_argument("--out-dir", default=None,
                    help="where to write BENCH_*.json (default: cwd)")

@@ -1,13 +1,23 @@
-"""Tests for the CI perf-regression gate (repro.bench.perf.gate_regressions)."""
+"""Tests for the CI perf gate (repro.bench.perf's gates and bounds table)
+and for the ``repro perf`` run that records what the gate compares."""
 
 import json
+import os
+import shutil
 
 from repro.bench.perf import (
+    PERF_BOUNDS,
     SCHEMA_VERSION,
     SUITE_RATE_KEYS,
+    SUITES,
+    check_bound,
+    gate_cache_hit_rate,
     gate_fanin_wall_growth,
     gate_regressions,
 )
+from repro.cli import main
+
+REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 
 
 def write_trajectory(path, suite, entries):
@@ -134,3 +144,100 @@ class TestGateFaninWallGrowth:
 
     def test_missing_file_skips(self, tmp_path):
         assert gate_fanin_wall_growth(str(tmp_path / "nope.json"), "new") is None
+
+
+def cache_entry(label, hit_rate, workload="switch_cache_hotspot_stat_large"):
+    return {
+        "label": label,
+        "scale": "tiny",
+        "results": {workload: {"cache_hit_rate": hit_rate,
+                               "wall_ops_per_sec": 1000.0,
+                               "wall_seconds": 1.0}},
+    }
+
+
+class TestGateCacheHitRate:
+    def test_hit_rate_above_floor_passes(self, tmp_path):
+        p = tmp_path / "BENCH_e2e.json"
+        write_trajectory(p, "e2e", [cache_entry("new", 0.79)])
+        assert gate_cache_hit_rate(str(p), "new", min_hit_rate=0.5) == []
+
+    def test_hit_rate_below_floor_fails(self, tmp_path):
+        p = tmp_path / "BENCH_e2e.json"
+        write_trajectory(p, "e2e", [cache_entry("new", 0.3)])
+        failures = gate_cache_hit_rate(str(p), "new", min_hit_rate=0.5)
+        assert len(failures) == 1
+        assert "switch_cache_hotspot_stat_large" in failures[0]
+
+    def test_missing_file_skips(self, tmp_path):
+        assert gate_cache_hit_rate(str(tmp_path / "nope.json"), "new") is None
+
+    def test_missing_label_skips(self, tmp_path):
+        p = tmp_path / "BENCH_e2e.json"
+        write_trajectory(p, "e2e", [cache_entry("other", 0.79)])
+        assert gate_cache_hit_rate(str(p), "new") is None
+
+    def test_missing_workload_skips(self, tmp_path):
+        p = tmp_path / "BENCH_e2e.json"
+        write_trajectory(p, "e2e", [cache_entry("new", 0.79, workload="other")])
+        assert gate_cache_hit_rate(str(p), "new") is None
+
+    def test_missing_hit_rate_key_skips(self, tmp_path):
+        p = tmp_path / "BENCH_e2e.json"
+        e = cache_entry("new", 0.79)
+        del e["results"]["switch_cache_hotspot_stat_large"]["cache_hit_rate"]
+        write_trajectory(p, "e2e", [e])
+        assert gate_cache_hit_rate(str(p), "new") is None
+
+
+class TestUnifiedPerfRun:
+    """``repro perf --tiny`` records every point the CI gate compares.
+
+    Wall-clock ratios are host noise, so nothing here asserts a pass or
+    a failure of the gate — only that it has something to compare.
+    """
+
+    def test_records_the_gated_points(self, tmp_path, capsys):
+        for suite in SUITES.values():
+            shutil.copy(os.path.join(REPO_ROOT, suite.filename), tmp_path)
+        assert main(["perf", "--tiny", "--label", "t",
+                     "--out-dir", str(tmp_path)]) == 0
+        for suite in SUITES.values():
+            with open(tmp_path / suite.filename) as f:
+                history = json.load(f)["history"]
+            by_label = {e["label"]: e for e in history}
+            base = by_label["ci-baseline"]["results"]
+            new = by_label["t"]["results"]
+            assert list(new) == list(base), suite.name
+            for name in base:
+                assert set(new[name]) == set(base[name]), (suite.name, name)
+        for bound in PERF_BOUNDS:
+            assert check_bound(bound, str(tmp_path), "ci-baseline", "t") \
+                is not None, bound.name
+
+    def test_bounds_table_keeps_the_ci_thresholds(self):
+        limits = {(b.check, b.suite): b.limit for b in PERF_BOUNDS}
+        assert limits == {
+            **{("wall_drop", s): 0.25 for s in ("kernel", "rpc", "store", "e2e")},
+            ("hit_rate_floor", "e2e"): 0.5,
+            ("wall_growth", "e2e"): 1.5,
+        }
+
+    def test_best_of_counts(self):
+        assert {w.best_of for s in ("kernel", "rpc", "store")
+                for w in SUITES[s].workloads} == {3}
+        counts = {
+            name: w.best_of
+            for w in SUITES["e2e"].workloads
+            for name in w.points(**w.tiny)
+        }
+        assert counts == {
+            "fig11_hotspot_create": 2,
+            **{f"switch_cache_{w}_{a}": 1
+               for w in ("hotspot_stat", "dcs_mix")
+               for a in ("off", "small", "large")},
+            "elasticity_scale_up_down": 1,
+            "fanin_10k_users": 2,
+            "fanin_100k_users": 2,
+            "fanin_scaleup": 2,
+        }
